@@ -93,8 +93,7 @@ from repro.feast.backends.base import (
     ExecutionRequest,
     SupervisionStats,
 )
-from repro.feast.backends.work import ChunkKey, is_parallelizable
-from repro.feast.backends.shardworker import shard_keys
+from repro.feast.backends.work import ChunkKey, is_parallelizable, shard_keys
 from repro.obs import live as obs_live
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.resources import ResourceSample

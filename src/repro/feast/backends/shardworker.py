@@ -40,6 +40,7 @@ import pickle
 import sys
 from typing import Optional
 
+from repro.feast.backends.work import shard_keys
 from repro.feast.instrumentation import Instrumentation
 from repro.obs import runtime as obs
 from repro.obs.export import atomic_write_text
@@ -61,17 +62,6 @@ def _kill_after(shard: int) -> Optional[int]:
     if victim is not None and int(victim) != shard:
         return None
     return int(raw)
-
-
-def shard_keys(config, shard: int, n_shards: int):
-    """The chunk keys shard ``shard`` of ``n_shards`` owns.
-
-    Round-robin over the canonical chunk ordering: ordinals congruent
-    to ``shard`` mod ``n_shards``. Pure arithmetic on
-    ``config.chunk_keys()``, so every process — parent, worker,
-    relaunched worker — computes identical disjoint partitions.
-    """
-    return list(config.chunk_keys())[shard::n_shards]
 
 
 def run_shard(payload: dict) -> int:

@@ -85,6 +85,17 @@ def is_parallelizable(config: ExperimentConfig) -> bool:
     return True
 
 
+def shard_keys(config: ExperimentConfig, shard: int, n_shards: int) -> List[ChunkKey]:
+    """The chunk keys shard ``shard`` of ``n_shards`` owns.
+
+    Round-robin over the canonical chunk ordering: ordinals congruent
+    to ``shard`` mod ``n_shards``. Pure arithmetic on
+    ``config.chunk_keys()``, so every process — parent, worker,
+    relaunched worker — computes identical disjoint partitions.
+    """
+    return list(config.chunk_keys())[shard::n_shards]
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """How a backend reacts to chunk failures.

@@ -57,7 +57,7 @@ _CCRS = (0.0, 0.5, 1.0, 2.0)
 _METS = (0.001, 1.0, 20.0)
 
 _PROCESSOR_COUNTS = (1, 2, 3, 4, 8)
-_INTERCONNECTS = ("bus", "ideal")
+_INTERCONNECTS = ("bus", "fully-connected", "ring", "mesh", "ideal")
 _ESTIMATORS = ("CCNE", "CCAA")
 
 

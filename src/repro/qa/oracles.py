@@ -13,7 +13,7 @@ implementations can be checked against them.
   constraint by exhaustive enumeration, independent of
   :mod:`repro.core.validation`;
 * :class:`ExhaustiveScheduler` — the true minimum of the maximum task
-  lateness over *every* non-delay placement of a tiny graph, by complete
+  lateness over *every* semi-active placement of a tiny graph, by complete
   enumeration of (ready subtask, processor) decision sequences under the
   same contention-free model as :mod:`repro.sched.optimal`;
 * :func:`replay_schedule` — an event-replay checker that re-simulates a
@@ -193,7 +193,7 @@ def _all_paths(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ExhaustiveResult:
-    """Outcome of a complete non-delay enumeration."""
+    """Outcome of a complete semi-active enumeration."""
 
     max_lateness: Time
     n_complete_schedules: int
@@ -201,7 +201,7 @@ class ExhaustiveResult:
 
 
 class ExhaustiveScheduler:
-    """Minimum max-lateness by enumerating *every* non-delay schedule.
+    """Minimum max-lateness by enumerating *every* semi-active schedule.
 
     Exactly the branch-and-bound scheduler's model — non-preemptive,
     greedy start times, contention-free interconnect, pins honoured —

@@ -25,11 +25,27 @@ subtask's distributed release time, turning the distributed windows into a
 time-triggered dispatch table. The default (``False``) is the greedy
 packing standard in the list-scheduling literature; the distribution then
 acts through the priority order and through the lateness measurement.
+
+Placement kernel
+    The ready set is a heap of ``((policy key, node id), dense id)``
+    entries. Each subtask's key is computed once, when it becomes ready —
+    every registered policy is a pure function of ``(node_id, graph,
+    assignment)`` — and the ``(key, node id)`` pair reproduces the
+    "smallest key, ties on the node id" rule exactly. Candidate start times
+    are probed in one pass over the incoming arcs, each arc updating every
+    candidate processor. Per arc the probes are memoized on the resolved
+    route (:meth:`repro.sched.bus.LinkTimelines.route`): the predecessor's
+    finish, the message size and the untouched link timelines fix the
+    arrival, so on the shared bus the ``n_processors`` remote probes of an
+    arc collapse to one gap search, while multi-hop topologies, whose
+    routes differ per destination, stay exact. See :mod:`repro.sched.bus`
+    for the route table and the bisect-started gap search.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from heapq import heapify, heappop, heappush
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.annotations import DeadlineAssignment
 from repro.core.pinning import validate_pins
@@ -85,14 +101,17 @@ class ListScheduler:
         pending_preds: List[int] = [
             index.in_degree_of(j) for j in range(index.n_nodes)
         ]
-        ready: Set[int] = {j for j, k in enumerate(pending_preds) if k == 0}
         policy_key = self.policy.key
+        # Highest priority first; ties broken by node id (string order,
+        # not insertion order). Keys are computed once, on entry.
+        ready = [
+            ((policy_key(ids[j], graph, assignment), ids[j]), j)
+            for j, k in enumerate(pending_preds) if k == 0
+        ]
+        heapify(ready)
 
         while ready:
-            # Highest priority first; ties broken by node id, as before
-            # the indexed rewrite (string order, not insertion order).
-            j = min(ready, key=lambda j: (policy_key(ids[j], graph, assignment), ids[j]))
-            ready.discard(j)
+            _, j = heappop(ready)
             self._place(
                 j, graph, index, assignment, schedule, links,
                 proc_available, finish_of, proc_of,
@@ -101,7 +120,10 @@ class ListScheduler:
                 s = index.succ_ids[k]
                 pending_preds[s] -= 1
                 if pending_preds[s] == 0:
-                    ready.add(s)
+                    heappush(
+                        ready,
+                        ((policy_key(ids[s], graph, assignment), ids[s]), s),
+                    )
 
         if len(schedule.tasks) != graph.n_subtasks:
             raise SchedulingError(
@@ -129,10 +151,10 @@ class ListScheduler:
         ids = index.ids
         node_id = ids[j]
         sub = index.subtasks[j]
-        if sub.is_pinned:
-            candidates: List[ProcessorId] = [sub.pinned_to]  # type: ignore[list-item]
-        else:
-            candidates = list(range(self.system.n_processors))
+        candidates: Sequence[ProcessorId] = (
+            (sub.pinned_to,) if sub.is_pinned  # type: ignore[assignment]
+            else range(self.system.n_processors)
+        )
 
         floor = (
             assignment.release(node_id) if self.respect_release_times else 0.0
@@ -144,22 +166,21 @@ class ListScheduler:
             (index.pred_ids[k], messages[index.pred_edges[k]].size)
             for k in range(index.pred_indptr[j], index.pred_indptr[j + 1])
         ]
-        best: Optional[Tuple[Time, ProcessorId]] = None
-        for proc in candidates:
-            start = self._probe_start(
-                proc, incoming, links, proc_available, floor, finish_of, proc_of
-            )
-            if best is None or (start, proc) < best:
-                best = (start, proc)
-        assert best is not None
-        _, proc = best
+        starts = self._probe_starts(
+            candidates, incoming, links, proc_available, floor,
+            finish_of, proc_of,
+        )
+        # Earliest start, ties toward the lower processor id.
+        proc = candidates[starts.index(min(starts))]
 
-        arrivals = [floor, proc_available[proc]]
+        free = proc_available[proc]
+        start = free if free > floor else floor
         for p, size in sorted(incoming, key=lambda it: (finish_of[it[0]], ids[it[0]])):
             finish = finish_of[p]
             pred_proc = proc_of[p]
             if pred_proc == proc or size <= 0:
-                arrivals.append(finish)
+                if finish > start:
+                    start = finish
                 continue
             hops = links.commit_transfer(pred_proc, proc, size, finish)
             schedule.place_message(
@@ -172,9 +193,10 @@ class ListScheduler:
                     hops=tuple(hops),
                 )
             )
-            arrivals.append(hops[-1].finish if hops else finish)
+            arrival = hops[-1].finish if hops else finish
+            if arrival > start:
+                start = arrival
 
-        start = max(arrivals)
         finish = start + self.system.execution_time(proc, sub.wcet)
         schedule.place_task(
             ScheduledTask(node_id=node_id, processor=proc, start=start, finish=finish)
@@ -183,30 +205,49 @@ class ListScheduler:
         finish_of[j] = finish
         proc_of[j] = proc
 
-    def _probe_start(
+    def _probe_starts(
         self,
-        proc: ProcessorId,
+        candidates: Sequence[ProcessorId],
         incoming: List[Tuple[int, Time]],
         links: LinkTimelines,
         proc_available: List[Time],
         floor: Time,
         finish_of: List[Time],
         proc_of: List[ProcessorId],
-    ) -> Time:
-        """Estimated earliest start on ``proc`` without reserving links.
+    ) -> List[Time]:
+        """Estimated earliest start on each candidate, without reserving
+        links.
 
         Transfers are probed independently, which can be optimistic when
         several of this subtask's messages would share a link; the commit
         path serializes them, so the schedule stays consistent either way.
         """
-        start = max(floor, proc_available[proc])
+        every_processor = len(candidates) == len(proc_available)
+        starts = [
+            free if free > floor else floor
+            for free in (
+                proc_available if every_processor
+                else [proc_available[proc] for proc in candidates]
+            )
+        ]
+        hop_cost = links.interconnect.hop_cost
+        probe_route = links.probe_route
         for p, size in incoming:
             finish = finish_of[p]
-            pred_proc = proc_of[p]
-            if pred_proc == proc or size <= 0:
-                arrival = finish
+            if size <= 0:
+                starts = [finish if finish > s else s for s in starts]
+                continue
+            hop = hop_cost(size)
+            routes, route_index = links.fanout(proc_of[p])
+            if every_processor:
+                # The probe memo: one gap search per distinct route of
+                # this arc (on the bus, one), shared by its destinations.
+                probed = [probe_route(route, hop, finish) for route in routes]
+                arrivals = [probed[r] for r in route_index]
             else:
-                arrival = links.probe_transfer(pred_proc, proc, size, finish)
-            if arrival > start:
-                start = arrival
-        return start
+                arrivals = [
+                    probe_route(routes[route_index[proc]], hop, finish)
+                    for proc in candidates
+                ]
+            starts = [a if a > s else s for s, a in zip(starts, arrivals)]
+        return starts

@@ -8,9 +8,12 @@ branch-and-bound over (ready subtask, processor) decisions that minimizes
 the maximum lateness against a given deadline assignment.
 
 It is exact under the same run-time model as the list scheduler —
-non-preemptive, greedy start times, i.e. within the class of *non-delay*
-schedules (no deliberately inserted idle time; the class every list
-scheduler produces) — with a **contention-free** interconnect (every cross-processor message costs its full transfer
+non-preemptive, greedy start times, i.e. within the class of
+*semi-active* schedules (each subtask is appended to its processor at the
+earliest start the data and the processor allow, with no deliberately
+inserted idle time; this is the class the list scheduler produces, and it
+is not the *non-delay* class: a processor may stay idle while a subtask
+is ready, because placement follows the priority order) — with a **contention-free** interconnect (every cross-processor message costs its full transfer
 latency, but links never queue). Contention-free keeps the search state
 undoable and the bound admissible; compare against heuristics on
 :class:`~repro.machine.topology.IdealNetwork` for an apples-to-apples

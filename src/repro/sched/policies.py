@@ -7,7 +7,9 @@ that sweep a one-line configuration change.
 
 A policy maps a ready subtask to a sortable key; the scheduler picks the
 minimum key and breaks remaining ties on the node id, so every policy is
-deterministic.
+deterministic. A key must be a pure function of ``(node_id, graph,
+assignment)``: the list scheduler evaluates it once per subtask, when the
+subtask becomes ready, and keeps it in a heap.
 """
 
 from __future__ import annotations

@@ -156,6 +156,8 @@ class ReproService:
         route = "unmatched"
         started = time.monotonic()
         status = 0
+        # Set while the request may still hold unread bytes.
+        unread = True
         try:
             try:
                 request = await http.read_request(
@@ -167,6 +169,7 @@ class ReproService:
                 )
                 if request is None:
                     return
+                unread = False
                 route, response = await self._dispatch(request)
             except HttpError as exc:
                 response = exc.to_response()
@@ -181,6 +184,8 @@ class ReproService:
                 ).to_response()
             status = response.status
             await http.write_response(writer, response)
+            if unread:
+                await http.linger(reader, writer)
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:

@@ -236,3 +236,32 @@ async def write_response(writer: asyncio.StreamWriter, response: Response) -> No
         async for chunk in response.stream:
             writer.write(chunk)
             await writer.drain()
+
+
+async def linger(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    timeout: float = 2.0,
+) -> None:
+    """Half-close, then discard what the client is still sending.
+
+    A response sent before the request body was read (413, 411, 501...)
+    leaves the client mid-upload; closing with unread bytes queued makes
+    the kernel answer with a reset, which can destroy the response before
+    the client reads it. Draining until the client's EOF, for at most
+    ``timeout`` seconds, lets the response arrive intact.
+    """
+    if writer.can_write_eof():
+        writer.write_eof()
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while True:
+        remaining = deadline - loop.time()
+        if remaining <= 0:
+            return
+        try:
+            chunk = await asyncio.wait_for(reader.read(65536), remaining)
+        except (asyncio.TimeoutError, ConnectionError):
+            return
+        if not chunk:
+            return

@@ -15,7 +15,7 @@ from repro.feast.backends import (
     register_backend,
 )
 from repro.feast.backends.serial import SerialBackend
-from repro.feast.backends.shardworker import shard_keys
+from repro.feast.backends.work import shard_keys
 from repro.feast.config import ExperimentConfig, MethodSpec
 from repro.feast.instrumentation import Instrumentation
 from repro.feast.parallel import run_parallel_experiment
