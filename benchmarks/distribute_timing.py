@@ -11,30 +11,23 @@ The workload mirrors the runner's reuse semantics (one distributor per
 method, size-independent methods cached across the sweep), so the number
 tracks what experiments actually pay.
 
-When numpy is importable the same supported workload (PURE/THRES/ADAPT —
-NORM routes through the kernel's scalar fallback and is excluded from
-the speedup metric) is also timed through the vectorized batch kernel,
-and ``--min-batch-speedup`` turns the batch-vs-scalar ratio into a CI
-gate. Timings are best-of-N with the collector paused: per-run noise on
-shared runners dwarfs the effect being measured otherwise.
+Timings are best-of-N: per-run noise on shared runners dwarfs the
+effect being measured otherwise.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/distribute_timing.py            # full
     PYTHONPATH=src python benchmarks/distribute_timing.py --quick    # CI
     PYTHONPATH=src python benchmarks/distribute_timing.py --json out.json
-    PYTHONPATH=src python benchmarks/distribute_timing.py \
-        --quick --min-batch-speedup 0.8                              # gate
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core import ast, bst
 from repro.feast.instrumentation import Instrumentation
@@ -99,76 +92,6 @@ def time_distribute(
     }
 
 
-#: Methods the batch kernel evaluates vectorized (NORM falls back).
-BATCH_METHODS = tuple(m for m in METHODS if m[0] != "NORM/CCAA")
-
-
-def time_batch_vs_scalar(
-    n_subtasks: int,
-    n_graphs: int,
-    system_sizes=(2, 4, 8, 16),
-    repeats: int = 3,
-) -> Optional[Dict[str, float]]:
-    """Best-of-``repeats`` seconds for the batch-supported workload,
-    scalar loop vs one :func:`distribute_many` call; ``None`` if numpy
-    is unavailable."""
-    try:
-        from repro.core.batch import DistributeRequest, distribute_many
-    except ImportError:
-        return None
-
-    graphs = _graphs(n_subtasks, n_graphs)
-    requests = []
-    for label, build in BATCH_METHODS:
-        distributor = build()
-        if label == "ADAPT":
-            for n_processors in system_sizes:
-                for graph in graphs:
-                    requests.append(DistributeRequest(
-                        graph=graph,
-                        distributor=distributor,
-                        n_processors=n_processors,
-                    ))
-        else:
-            for graph in graphs:
-                requests.append(
-                    DistributeRequest(graph=graph, distributor=distributor)
-                )
-
-    scalar_best = batch_best = None
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            began = time.perf_counter()
-            for request in requests:
-                kwargs = {}
-                if request.n_processors is not None:
-                    kwargs["n_processors"] = request.n_processors
-                request.distributor.distribute(request.graph, **kwargs)
-            seconds = time.perf_counter() - began
-            scalar_best = (
-                seconds if scalar_best is None else min(scalar_best, seconds)
-            )
-
-            began = time.perf_counter()
-            distribute_many(requests)
-            seconds = time.perf_counter() - began
-            batch_best = (
-                seconds if batch_best is None else min(batch_best, seconds)
-            )
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return {
-        "n_subtasks": n_subtasks,
-        "n_requests": len(requests),
-        "scalar_seconds": scalar_best,
-        "batch_seconds": batch_best,
-        "batch_speedup": scalar_best / batch_best,
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -179,12 +102,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--repeats", type=int, default=None,
         help="timing repeats per size (default: 3, quick: 1)",
-    )
-    parser.add_argument(
-        "--min-batch-speedup", type=float, default=None,
-        help="fail (exit 1) if the batch kernel's speedup over the "
-        "scalar loop drops below this ratio at any size (0.8 catches a "
-        ">20%% batch regression while tolerating runner noise)",
     )
     args = parser.parse_args(argv)
 
@@ -202,20 +119,6 @@ def main(argv=None) -> int:
             f"distribute={row['distribute_seconds']:8.3f}s "
             f"({row['seconds_per_graph_method'] * 1e3:8.2f} ms/graph/method)"
         )
-    batch_rows = []
-    batch_repeats = max(repeats, 3)  # ratios need noise suppression
-    for n_subtasks in sizes:
-        row = time_batch_vs_scalar(n_subtasks, n_graphs, repeats=batch_repeats)
-        if row is None:
-            print("batch kernel unavailable (no numpy); skipping batch rows")
-            break
-        batch_rows.append(row)
-        print(
-            f"n_subtasks={n_subtasks:<4} requests={row['n_requests']:<3} "
-            f"scalar={row['scalar_seconds']:8.3f}s "
-            f"batch={row['batch_seconds']:8.3f}s "
-            f"speedup={row['batch_speedup']:5.2f}x"
-        )
     elapsed = time.perf_counter() - began
     print(f"total {elapsed:.1f}s")
 
@@ -225,29 +128,10 @@ def main(argv=None) -> int:
             "seed": SEED,
             "methods": [label for label, _ in METHODS],
             "rows": rows,
-            "batch_methods": [label for label, _ in BATCH_METHODS],
-            "batch_rows": batch_rows,
         }
         with open(args.json, "w") as fp:
             json.dump(payload, fp, indent=2)
         print(f"wrote {args.json}")
-
-    if args.min_batch_speedup is not None:
-        if not batch_rows:
-            print("FAIL: --min-batch-speedup set but batch rows unavailable")
-            return 1
-        slowest = min(batch_rows, key=lambda r: r["batch_speedup"])
-        if slowest["batch_speedup"] < args.min_batch_speedup:
-            print(
-                f"FAIL: batch speedup {slowest['batch_speedup']:.2f}x at "
-                f"n_subtasks={slowest['n_subtasks']} is below the "
-                f"{args.min_batch_speedup:.2f}x gate"
-            )
-            return 1
-        print(
-            f"batch gate ok: worst speedup {slowest['batch_speedup']:.2f}x "
-            f">= {args.min_batch_speedup:.2f}x"
-        )
     return 0
 
 

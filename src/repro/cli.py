@@ -133,12 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: the experiment's, normally 2)",
     )
     run.add_argument(
-        "--batch", action="store_true",
-        help="evaluate the distribute phase through the vectorized "
-        "batch kernel (bit-identical records; unsupported methods "
-        "fall back to the scalar path)",
-    )
-    run.add_argument(
         "--stall-timeout", type=float, default=None, metavar="SECONDS",
         help="(--backend subprocess) declare a shard stalled after this "
         "many seconds without journal progress and escalate "
@@ -402,11 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
         "check gating as the live campaign)",
     )
     fuzz.add_argument(
-        "--batch", action="store_true",
-        help="also differential-check every distribution against the "
-        "vectorized batch kernel",
-    )
-    fuzz.add_argument(
         "--quiet", action="store_true", help="suppress progress output"
     )
 
@@ -607,8 +596,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         overrides["trial_timeout"] = args.trial_timeout
     if args.retries is not None:
         overrides["max_retries"] = args.retries
-    if args.batch:
-        overrides["batch"] = True
     if overrides:
         configs = [dataclasses.replace(c, **overrides) for c in configs]
 
@@ -941,9 +928,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     if args.replay is not None:
         with open(args.replay, "r", encoding="utf-8") as fp:
             data = json.load(fp)
-        report = replay_reproducer(
-            data, config=FuzzConfig(use_batch=args.batch)
-        )
+        report = replay_reproducer(data, config=FuzzConfig())
         print(report.summary())
         return 0 if report.ok else 1
 
@@ -952,7 +937,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         trials=args.trials,
         time_budget=args.time_budget,
         output_dir=args.out,
-        use_batch=args.batch,
     )
 
     progress = None

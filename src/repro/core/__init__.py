@@ -46,24 +46,6 @@ from repro.core.sensitivity import (
 from repro.core.slicer import DeadlineDistributor, ast, bst
 from repro.core.validation import ValidationReport, validate_assignment
 
-#: Batch-kernel names served lazily via __getattr__: repro.core.batch is
-#: the package's only numpy consumer, and importing repro.core must keep
-#: working on numpy-free interpreters (the scalar pipeline never needs it).
-_BATCH_EXPORTS = (
-    "DistributeRequest",
-    "batch_distribute",
-    "distribute_many",
-    "fallback_reason",
-)
-
-
-def __getattr__(name):
-    if name in _BATCH_EXPORTS:
-        from repro.core import batch
-
-        return getattr(batch, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "DeadlineAssignment",
     "BASELINES",
@@ -107,8 +89,4 @@ __all__ = [
     "window_scaling_factor",
     "ValidationReport",
     "validate_assignment",
-    "DistributeRequest",
-    "batch_distribute",
-    "distribute_many",
-    "fallback_reason",
 ]

@@ -73,6 +73,10 @@ class SlicingMetric(ABC):
     deadline ``D``, ``sum(relative_deadline(v, R)) == D`` where
     ``R = ratio(D, ...)`` over the same path. Each concrete metric keeps
     that telescoping property (verified by the test suite).
+
+    The critical-path search caches candidates between slices, so during
+    one distribution ``ratio`` and ``virtual_cost`` must be pure functions
+    of their arguments, and ``ratio`` must never return NaN.
     """
 
     #: Name used in experiment tables.
@@ -177,18 +181,6 @@ class ThresholdLaxityRatio(PureLaxityRatio):
         if node.cost >= self._effective_threshold:
             return node.cost * (1.0 + self._effective_surplus)
         return node.cost
-
-    @property
-    def effective_threshold(self) -> Time:
-        """The ``c_thres`` in effect after :meth:`prepare`.
-
-        Exposed for the vectorized batch kernel, which snapshots the
-        prepared state into flat arrays (see :mod:`repro.core.batch`).
-        """
-        assert self._effective_threshold is not None, (
-            "metric used before prepare(); the slicer always prepares"
-        )
-        return self._effective_threshold
 
     @property
     def effective_surplus(self) -> float:

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 
 from repro.core.annotations import DeadlineAssignment, SliceRecord, Window
 from repro.core.commcost import CCNE, CommCostEstimator
-from repro.core.criticalpath import CriticalPath, find_critical_path_indexed
+from repro.core.criticalpath import CriticalPath, CriticalPathSearch
 from repro.core.expanded import ExpandedGraph
 from repro.core.metrics import (
     AdaptiveLaxityRatio,
@@ -108,12 +108,11 @@ class DeadlineDistributor:
 
         n = len(expanded)
         # Per-iteration state, all over dense expanded ids: the unassigned
-        # mask plus its topologically-ordered compaction (each critical-path
-        # DP walks only what is still unassigned), the pending anchors, and
-        # the metric's virtual costs (computed once — they do not change
-        # between slices).
+        # mask, the pending anchors, and the metric's virtual costs
+        # (computed once — they do not change between slices). The
+        # critical-path search shares these arrays and keeps its DP
+        # between slices; ``consume`` tells it what each slice took.
         unassigned = bytearray(b"\x01" * n)
-        remaining: List[int] = list(expanded.topo_indices)
         has_release = bytearray(expanded.has_release)
         release_anchor: List[Time] = list(expanded.release_anchor)
         has_deadline = bytearray(expanded.has_deadline)
@@ -121,16 +120,17 @@ class DeadlineDistributor:
         vcost: List[Time] = [
             self.metric.virtual_cost(nd) for nd in expanded.by_index
         ]
+        search = CriticalPathSearch(
+            expanded, self.metric, unassigned,
+            has_release, release_anchor,
+            has_deadline, deadline_anchor,
+            vcost,
+        )
         windows: Dict[int, Window] = {}
         slices = []
 
-        while remaining:
-            path = find_critical_path_indexed(
-                expanded, self.metric, remaining,
-                has_release, release_anchor,
-                has_deadline, deadline_anchor,
-                vcost,
-            )
+        while search.n_remaining:
+            path = search.best()
             slices.append(
                 SliceRecord(
                     nodes=path.nodes,
@@ -145,9 +145,7 @@ class DeadlineDistributor:
                 has_deadline, deadline_anchor,
                 windows,
             )
-            for i in path.indices:
-                unassigned[i] = 0
-            remaining = [i for i in remaining if unassigned[i]]
+            search.consume(path.indices)
             self._propagate_anchors(
                 expanded, path.indices, unassigned,
                 has_release, release_anchor,
@@ -157,6 +155,8 @@ class DeadlineDistributor:
 
         obs.count("slicer.distributions")
         obs.count("slicer.slices", len(slices))
+        obs.count("slicer.dp_nodes_recomputed", search.recomputed)
+        obs.count("slicer.dp_nodes_reused", search.reused)
         obs.observe(
             "slicer.slices_per_distribution", len(slices),
             buckets=COUNT_BUCKETS,

@@ -21,7 +21,7 @@ with its nesting permuted, which canonical assembly undoes).
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.errors import ExperimentError
 from repro.obs import live as obs_live
@@ -34,7 +34,6 @@ from repro.feast.runner import (
     distribute_for_trial,
     graph_for_trial,
     make_record,
-    prefetch_distributions,
     run_trial,
 )
 from repro.machine.system import System
@@ -112,12 +111,6 @@ def run_classic_serial(
                 # Distributions reusable across the size sweep (non-ADAPT
                 # methods), keyed by (method label, graph index).
                 reusable: Dict[object, DeadlineAssignment] = {}
-                prefetched: Optional[Dict[object, DeadlineAssignment]] = None
-                if config.batch:
-                    with inst.phase("distribute"):
-                        prefetched = prefetch_distributions(
-                            config, graphs, reusable
-                        )
                 for n_processors in config.system_sizes:
                     speeds = speeds_for(config.speed_profile, n_processors)
                     system = System(
@@ -148,7 +141,6 @@ def run_classic_serial(
                                         total_capacity,
                                         reusable,
                                         (method.label, index),
-                                        prefetched,
                                     )
                                 obs.observe(
                                     f"distribute.seconds.n{graph.n_subtasks}",

@@ -42,7 +42,6 @@ from repro.feast.runner import (
     distribute_for_trial,
     graph_for_trial,
     make_record,
-    prefetch_distributions,
     run_trial,
 )
 from repro.machine.system import System
@@ -232,9 +231,7 @@ def run_chunk(
 
     Mirrors the serial loop's per-graph work exactly: same seeds, same
     distribution reuse, same metrics — only the loop nesting differs,
-    which the parent undoes when reassembling. ``config.batch`` prefetches
-    the chunk's distributions through the batch kernel first, exactly as
-    the serial loop does per scenario (bit-identical records either way). Each (size × method)
+    which the parent undoes when reassembling. Each (size × method)
     trial runs under a cooperative wall-clock budget of
     ``trial_timeout`` seconds (default: the config's); a trial that
     completes past its budget is kept but flagged with a ``slow-trial``
@@ -267,12 +264,6 @@ def run_chunk(
                 method.label: method.build() for method in config.methods
             }
             reusable: Dict[object, object] = {}
-            prefetched: Optional[Dict[object, object]] = None
-            if config.batch:
-                with inst.phase("distribute"):
-                    prefetched = prefetch_distributions(
-                        config, [graph], reusable, indices=[spec.index]
-                    )
             for n_processors in config.system_sizes:
                 speeds = speeds_for(config.speed_profile, n_processors)
                 system = System(
@@ -297,7 +288,6 @@ def run_chunk(
                                 total_capacity,
                                 reusable,
                                 (method.label, spec.index),
-                                prefetched,
                             )
                         obs.observe(
                             f"distribute.seconds.n{graph.n_subtasks}",

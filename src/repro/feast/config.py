@@ -162,14 +162,6 @@ class ExperimentConfig:
     #: Times a failed trial chunk is retried before quarantine (a chunk
     #: therefore gets at most ``max_retries + 1`` attempts).
     max_retries: int = 2
-    #: Route the distribute phase through the vectorized batch kernel
-    #: (:mod:`repro.core.batch`): a scenario's (method, size, graph)
-    #: distributions are packed and evaluated together, with unsupported
-    #: configurations falling back to the scalar path per request.
-    #: Batch results are bit-identical to scalar ones, so this is an
-    #: execution knob like ``trial_timeout`` — deliberately excluded
-    #: from the persistence identity (see ``_config_identity``).
-    batch: bool = False
 
     def __post_init__(self) -> None:
         if not self.methods:

@@ -48,7 +48,7 @@ from repro.errors import (
     ExperimentWarning,
     QuarantinedTrialError,
 )
-from repro.feast.config import ExperimentConfig, MethodSpec, speeds_for
+from repro.feast.config import ExperimentConfig, MethodSpec
 from repro.feast.instrumentation import (
     Instrumentation,
     PhaseTimings,
@@ -266,14 +266,10 @@ def distribute_for_trial(
     total_capacity: float,
     cache: Dict[object, DeadlineAssignment],
     cache_key: object,
-    prefetched: Optional[Dict[object, DeadlineAssignment]] = None,
 ) -> DeadlineAssignment:
     """The deadline assignment of ``method`` on ``graph`` at one size.
 
-    Size-dependent methods (ADAPT) are computed fresh for every platform,
-    unless ``prefetched`` (the batch engine's per-scenario prefetch, see
-    :func:`prefetch_distributions`) already holds the result under
-    ``(cache_key, n_processors)``.
+    Size-dependent methods (ADAPT) are computed fresh for every platform.
     Size-independent methods are computed once *without* platform
     arguments and cached under ``cache_key``; reuses re-stamp the cached
     windows with the current platform, so the recorded
@@ -289,10 +285,6 @@ def distribute_for_trial(
     ADAPT forces still skip re-expanding the graph).
     """
     if method.needs_system_size:
-        if prefetched is not None:
-            assignment = prefetched.get((cache_key, n_processors))
-            if assignment is not None:
-                return assignment
         return distributor.distribute(
             graph,
             n_processors=n_processors,
@@ -303,67 +295,6 @@ def distribute_for_trial(
         assignment = distributor.distribute(graph)
         cache[cache_key] = assignment
     return replace(assignment, n_processors=n_processors)
-
-
-def prefetch_distributions(
-    config: ExperimentConfig,
-    graphs: List[TaskGraph],
-    reusable: Dict[object, DeadlineAssignment],
-    indices: Optional[List[int]] = None,
-) -> Dict[object, DeadlineAssignment]:
-    """Batch-evaluate one scenario's distributions (the ``--batch`` path).
-
-    Packs every (method, graph) — and, for size-dependent methods, every
-    (method, size, graph) — distribution the trial loop is about to need
-    into one :func:`repro.core.batch.distribute_many` call, which routes
-    kernel-supported requests through the vectorized batch kernel and
-    everything else through the scalar path. Because the kernel is
-    bit-identical to the scalar pipeline, the trial loop then produces
-    exactly the records it would have computed lazily.
-
-    Size-independent methods are requested with *no* platform arguments
-    (mirroring the lazy path) and their results seed ``reusable``, so
-    :func:`distribute_for_trial` finds them under ``(label, index)`` and
-    re-stamps per size as usual. Size-dependent methods (ADAPT) get one
-    request per system size; those results are returned keyed
-    ``((label, index), n_processors)`` for the ``prefetched`` lookup.
-
-    ``indices`` supplies the graphs' trial indices (default
-    ``0..len(graphs)-1``); the parallel engine passes the single chunk
-    index so worker cache keys line up with the serial ones.
-    """
-    from repro.core.batch import DistributeRequest, distribute_many
-
-    if indices is None:
-        indices = list(range(len(graphs)))
-    requests: List[DistributeRequest] = []
-    targets: List[Tuple[Dict[object, DeadlineAssignment], object]] = []
-    prefetched: Dict[object, DeadlineAssignment] = {}
-    for method in config.methods:
-        distributor = method.build()
-        if method.needs_system_size:
-            for n_processors in config.system_sizes:
-                speeds = speeds_for(config.speed_profile, n_processors)
-                total_capacity = float(sum(speeds))
-                for index, graph in zip(indices, graphs):
-                    requests.append(DistributeRequest(
-                        graph=graph,
-                        distributor=distributor,
-                        n_processors=n_processors,
-                        total_capacity=total_capacity,
-                    ))
-                    targets.append(
-                        (prefetched, ((method.label, index), n_processors))
-                    )
-        else:
-            for index, graph in zip(indices, graphs):
-                requests.append(
-                    DistributeRequest(graph=graph, distributor=distributor)
-                )
-                targets.append((reusable, (method.label, index)))
-    for (target, key), assignment in zip(targets, distribute_many(requests)):
-        target[key] = assignment
-    return prefetched
 
 
 def make_record(

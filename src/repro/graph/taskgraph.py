@@ -55,8 +55,8 @@ class TaskGraph:
         Called by every structural mutator (``add_subtask`` / ``add_edge``
         / ``remove_subtask`` / ``remove_edge``); anything that caches a
         compiled view of the graph (topological order, :class:`GraphIndex`
-        and the overlay caches hanging off it — expanded graphs and their
-        batch-kernel views) must be dropped here, or a
+        and the expanded-graph caches hanging off it) must be dropped
+        here, or a
         mutation-after-query would silently corrupt downstream analyses.
         """
         self._topo_cache = None

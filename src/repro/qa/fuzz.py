@@ -77,9 +77,6 @@ class FuzzConfig:
     #: many subtasks *and* at most two processors (factorial blow-up).
     exhaustive_max_subtasks: int = 5
     max_shrink_steps: int = 300
-    #: Also differential-check every scalar distribution against the
-    #: vectorized batch kernel (``repro fuzz --batch``).
-    use_batch: bool = False
 
 
 @dataclass
@@ -334,7 +331,6 @@ def _check_scenario(
         path_limit=config.path_limit,
         bnb_max_subtasks=config.bnb_max_subtasks,
         exhaustive_max_subtasks=exhaustive,
-        use_batch=config.use_batch,
     )
 
 

@@ -103,17 +103,13 @@ def check_pipeline(
     path_limit: int = 5_000,
     bnb_max_subtasks: int = 12,
     exhaustive_max_subtasks: int = 0,
-    use_batch: bool = False,
 ) -> QAReport:
     """Run one scenario through every layer and report invariant results.
 
     ``exhaustive_max_subtasks`` gates the factorial-time exhaustive
     scheduler differential (0 disables it); ``bnb_max_subtasks`` gates
     the branch-and-bound comparison. Both only ever *add* checks — the
-    cheap invariants always run. ``use_batch`` additionally runs the
-    distribution through the vectorized batch kernel
-    (:mod:`repro.core.batch`) and asserts it is bit-identical to the
-    scalar result (or took the documented scalar fallback).
+    cheap invariants always run.
     """
     report = QAReport(
         graph_name=graph.name,
@@ -133,10 +129,6 @@ def check_pipeline(
             total_capacity=sum(p.speed for p in system.processors),
         )
         _check_distribution(graph, assignment, path_limit, report)
-        if use_batch:
-            _check_batch_identity(
-                graph, system, metric, estimator, assignment, report
-            )
         schedule = ListScheduler(system).schedule(graph, assignment)
         _check_schedule(schedule, assignment, report)
         _check_optimality(
@@ -307,65 +299,6 @@ def _collapsed_upstream_only(
         ):
             return False
     return True
-
-
-def _distribution_image(assignment: DeadlineAssignment):
-    """Exact image of one distribution (order-insensitive window maps,
-    order-sensitive slice log) for bit-identity comparison."""
-    return (
-        {n: (w.release, w.absolute_deadline, w.cost)
-         for n, w in assignment.windows.items()},
-        {e: (w.release, w.absolute_deadline, w.cost)
-         for e, w in assignment.message_windows.items()},
-        [(rec.nodes, rec.ratio, rec.release, rec.deadline)
-         for rec in assignment.slices],
-        assignment.metric_name,
-        assignment.comm_strategy_name,
-        assignment.n_processors,
-    )
-
-
-def _check_batch_identity(
-    graph: TaskGraph,
-    system: System,
-    metric: str,
-    estimator: str,
-    assignment: DeadlineAssignment,
-    report: QAReport,
-) -> None:
-    """Differential: the batch kernel's result must equal the scalar one.
-
-    Unsupported configurations (NORM) take the kernel's scalar fallback
-    inside :func:`repro.core.batch.distribute_many`, so the check then
-    degenerates to scalar-vs-scalar determinism — still worth asserting.
-    """
-    from repro.core.batch import DistributeRequest, distribute_many
-
-    distributor = DeadlineDistributor(
-        make_metric(metric), make_estimator(estimator)
-    )
-    try:
-        batched = distribute_many([
-            DistributeRequest(
-                graph=graph,
-                distributor=distributor,
-                n_processors=system.n_processors,
-                total_capacity=sum(p.speed for p in system.processors),
-            )
-        ])[0]
-    except ReproError as exc:
-        report._add(
-            "distribution.batch_identical",
-            False,
-            f"batch kernel raised {type(exc).__name__} where the scalar "
-            f"path succeeded: {exc}",
-        )
-        return
-    report._add(
-        "distribution.batch_identical",
-        _distribution_image(batched) == _distribution_image(assignment),
-        "batch kernel diverged from the scalar distribution",
-    )
 
 
 def _check_schedule(

@@ -62,8 +62,7 @@ def stress_graph_configs(draw) -> RandomGraphConfig:
     """Configurations stressing the distribution pipeline's edge regimes:
     laxity ratios on *both* sides of feasibility (OLR < 1 forces the
     documented over-constrained collapsed-window regime), the
-    communication-free case, and near-zero mean execution times. The
-    batch-vs-scalar differential draws from these."""
+    communication-free case, and near-zero mean execution times."""
     n_lo = draw(st.integers(min_value=3, max_value=20))
     n_hi = n_lo + draw(st.integers(min_value=0, max_value=12))
     d_lo = min(draw(st.integers(min_value=2, max_value=4)), n_lo)
@@ -90,6 +89,35 @@ def generated_graphs(draw, config_strategy=None) -> TaskGraph:
     )
     seed = draw(st.integers(0, 10_000))
     return generate_task_graph(config, rng=random.Random(seed))
+
+
+@st.composite
+def slicing_graphs(draw) -> TaskGraph:
+    """A stress-regime graph (:func:`stress_graph_configs`: OLR < 1,
+    CCR = 0, 1e-3 METs) with a drawn share of subtasks pinned to
+    processors and release / deadline anchors on drawn interior subtasks,
+    so slices start and end inside the graph and pinned pairs change the
+    communication estimates."""
+    from repro.core.pinning import pin_random_fraction
+
+    graph = draw(generated_graphs(config_strategy=stress_graph_configs()))
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    graph = pin_random_fraction(
+        graph, draw(st.sampled_from([0.0, 0.3, 1.0])), n_processors=3, rng=rng
+    )
+    share = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    inputs = set(graph.input_subtasks())
+    outputs = set(graph.output_subtasks())
+    horizon = max(graph.node(o).end_to_end_deadline for o in outputs)
+    for node_id in graph.node_ids():
+        if node_id in inputs or node_id in outputs:
+            continue
+        node = graph.node(node_id)
+        if rng.random() < share:
+            node.release = rng.uniform(0.0, 0.5 * horizon)
+        if rng.random() < share:
+            node.end_to_end_deadline = rng.uniform(0.25 * horizon, horizon)
+    return graph
 
 
 @st.composite

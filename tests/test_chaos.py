@@ -160,11 +160,12 @@ class TestSupervision:
                       once=True, seconds=30.0),
         ))
         with faultinject.active(plan):
-            with pytest.warns(ExperimentWarning, match="stalled"):
+            with pytest.warns(ExperimentWarning) as rec:
                 result = run_experiment(
                     cfg, backend="subprocess", shards=2,
                     checkpoint=str(tmp_path / "ck"), retry=SUPERVISED,
                 )
+            assert any("stalled" in str(w.message) for w in rec)
         assert dicts(result) == expected
         assert result.supervision.stalls_detected >= 1
         assert result.supervision.relaunches >= 1
@@ -179,11 +180,12 @@ class TestSupervision:
                       once=True, seconds=30.0),
         ))
         with faultinject.active(plan):
-            with pytest.warns(ExperimentWarning, match="SIGKILL"):
+            with pytest.warns(ExperimentWarning) as rec:
                 result = run_experiment(
                     cfg, backend="subprocess", shards=2,
                     checkpoint=str(tmp_path / "ck"), retry=SUPERVISED,
                 )
+            assert any("SIGKILL" in str(w.message) for w in rec)
         assert dicts(result) == expected
         assert result.supervision.stalls_detected >= 1
         assert result.supervision.kills_escalated >= 1
@@ -198,11 +200,12 @@ class TestSupervision:
                       attempts=None),
         ))
         with faultinject.active(plan):
-            with pytest.warns(ExperimentWarning, match="failing over"):
+            with pytest.warns(ExperimentWarning) as rec:
                 result = run_experiment(
                     cfg, backend="subprocess", shards=2,
                     checkpoint=str(tmp_path / "ck"), retry=SUPERVISED,
                 )
+            assert any("failing over" in str(w.message) for w in rec)
         assert dicts(result) == expected
         assert result.supervision.shards_failed_over == 1
         assert result.supervision.chunks_reassigned >= 1
@@ -226,11 +229,12 @@ class TestSupervision:
                       kind="truncate-journal", once=True, amount=25),
         ))
         with faultinject.active(plan):
-            with pytest.warns(ExperimentWarning, match="relaunching"):
+            with pytest.warns(ExperimentWarning) as rec:
                 result = run_experiment(
                     cfg, backend="subprocess", shards=2,
                     checkpoint=str(tmp_path / "ck"), retry=SUPERVISED,
                 )
+            assert any("relaunching" in str(w.message) for w in rec)
         assert dicts(result) == expected
         assert result.supervision.relaunches >= 1
         assert result.supervision.chunks_replayed >= 1

@@ -174,39 +174,23 @@ def test_distribution_outputs_bit_identical():
         )
 
 
-def test_batch_distribution_outputs_bit_identical():
-    """The vectorized batch kernel reproduces the frozen corpus exactly.
+def test_every_corpus_slice_matches_a_fresh_search():
+    """The incremental critical-path search, checked at every slice
+    against a fresh one-shot search, reproduces the frozen corpus."""
+    from unittest import mock
 
-    Every (graph, distributor) cell goes through ``distribute_many`` in
-    one call and must match the golden snapshots bit for bit — including
-    ``window_order``/``message_order``, pinning the satellite audit of
-    float accumulation and tie-break order in the batch DP. NORM routes
-    through the scalar fallback inside the kernel, so the same sweep
-    also freezes the fallback path.
-    """
-    pytest.importorskip("numpy")
-    from repro.core.batch import DistributeRequest, distribute_many
+    from repro.core import slicer
+    from tests.test_criticalpath_incremental import CheckedSearch
 
     golden = _load_golden()["distributions"]
-    keys = []
-    requests = []
-    for graph_name, graph in _graphs().items():
-        for label, build, kwargs in _distributors():
-            keys.append(f"{graph_name}|{label}")
-            requests.append(
-                DistributeRequest(
-                    graph=graph,
-                    distributor=build(),
-                    n_processors=kwargs.get("n_processors"),
-                    total_capacity=kwargs.get("total_capacity"),
-                )
-            )
-    assert set(keys) == set(golden)
-    for key, assignment in zip(keys, distribute_many(requests)):
-        snap = json.loads(json.dumps(_snapshot(assignment)))
-        assert snap == golden[key], (
-            f"batch kernel output drifted from golden corpus for {key}"
-        )
+    with mock.patch.object(slicer, "CriticalPathSearch", CheckedSearch):
+        for graph_name, graph in _graphs().items():
+            for label, build, kwargs in _distributors():
+                key = f"{graph_name}|{label}"
+                snap = json.loads(json.dumps(
+                    _snapshot(build().distribute(graph, **kwargs))
+                ))
+                assert snap == golden[key], key
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

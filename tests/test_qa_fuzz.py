@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.cli import main
 from repro.graph.serialization import graph_to_dict
 from repro.graph.taskgraph import TaskGraph
@@ -244,25 +242,6 @@ class TestReplayGating:
         }
         report = replay_reproducer(data)
         assert "optimal.matches_exhaustive" not in self._names(report)
-
-    def test_batch_config_adds_identity_check(self):
-        pytest.importorskip("numpy")
-        g = _fan_graph()
-        data = {"scenario": self._scenario(), "graph": graph_to_dict(g)}
-        report = replay_reproducer(data, config=FuzzConfig(use_batch=True))
-        assert "distribution.batch_identical" in self._names(report)
-        assert report.ok
-
-    def test_cli_replay_batch_flag(self, tmp_path, capsys):
-        pytest.importorskip("numpy")
-        g = TaskGraph(name="solo")
-        g.add_subtask("only", wcet=3.0, release=0.0,
-                      end_to_end_deadline=10.0)
-        data = {"scenario": self._scenario(), "graph": graph_to_dict(g)}
-        path = tmp_path / "degenerate.json"
-        path.write_text(json.dumps(data))
-        assert main(["fuzz", "--replay", str(path), "--batch"]) == 0
-        assert "[PASS]" in capsys.readouterr().out
 
 
 class TestCLI:
