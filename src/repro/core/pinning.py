@@ -10,7 +10,7 @@ utilities for imposing such pins on a graph, so experiments can sweep the
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.errors import ValidationError
 from repro.graph.taskgraph import TaskGraph

@@ -31,7 +31,7 @@ conservative answer a certification argument needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List
 
 from repro.core.annotations import DeadlineAssignment
 from repro.errors import ValidationError

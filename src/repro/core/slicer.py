@@ -29,7 +29,6 @@ from repro.core.commcost import CCNE, CommCostEstimator
 from repro.core.criticalpath import CriticalPath, CriticalPathSearch
 from repro.core.expanded import ExpandedGraph
 from repro.core.metrics import (
-    AdaptiveLaxityRatio,
     MetricContext,
     SlicingMetric,
     make_metric,

@@ -35,6 +35,7 @@ from repro.feast.runner import (
     graph_for_trial,
     make_record,
     run_trial,
+    schedule_memo,
 )
 from repro.machine.system import System
 from repro.machine.topology import make_interconnect
@@ -121,6 +122,7 @@ def run_classic_serial(
                         speeds=speeds,
                     )
                     total_capacity = float(sum(speeds))
+                    memo = schedule_memo(config)
                     for method in config.methods:
                         distributor = method.build()
                         for index, graph in enumerate(graphs):
@@ -155,6 +157,8 @@ def run_classic_serial(
                                         respect_release_times=(
                                             config.respect_release_times
                                         ),
+                                        memo=memo,
+                                        graph_key=index,
                                     )
                                 obs.count("engine.trials_measured")
                             result.records.append(

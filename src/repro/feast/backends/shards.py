@@ -82,7 +82,7 @@ import sys
 import tempfile
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.errors import CheckpointError, ExperimentError, ExperimentWarning

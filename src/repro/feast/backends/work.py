@@ -43,6 +43,7 @@ from repro.feast.runner import (
     graph_for_trial,
     make_record,
     run_trial,
+    schedule_memo,
 )
 from repro.machine.system import System
 from repro.machine.topology import make_interconnect
@@ -274,6 +275,7 @@ def run_chunk(
                     speeds=speeds,
                 )
                 total_capacity = float(sum(speeds))
+                memo = schedule_memo(config)
                 for method in config.methods:
                     with obs.span("trial", n_processors=n_processors,
                                   method=method.label), \
@@ -302,6 +304,8 @@ def run_chunk(
                                 respect_release_times=(
                                     config.respect_release_times
                                 ),
+                                memo=memo,
+                                graph_key=spec.index,
                             )
                         if budget.expired():
                             obs.count("engine.faults.slow-trial")

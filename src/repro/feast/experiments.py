@@ -31,7 +31,6 @@ sweep point, since graphs differ across points).
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.core.pinning import pin_random_fraction

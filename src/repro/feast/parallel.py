@@ -66,6 +66,26 @@ from repro.feast.backends.work import (  # noqa: F401
 )
 from repro.feast.backends import make_backend  # noqa: F401
 
+__all__ = [
+    "BackendOutcome",
+    "ChunkDriver",
+    "ChunkKey",
+    "ChunkResult",
+    "ExecutionBackend",
+    "ExecutionRequest",
+    "RecordSink",
+    "RetryPolicy",
+    "TrialSpec",
+    "assemble_records",
+    "default_jobs",
+    "execute_chunk",
+    "is_parallelizable",
+    "make_backend",
+    "resolve_jobs",
+    "run_chunk",
+    "run_parallel_experiment",
+]
+
 #: Streaming record hook: called once per record, as chunks complete.
 RecordSink = Callable[[TrialRecord], None]
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import random
 import warnings
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -58,7 +59,14 @@ from repro.feast.instrumentation import (
 from repro.graph.generator import RandomGraphConfig, generate_task_graph
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.system import System
-from repro.sched.analysis import ScheduleMetrics, schedule_metrics
+from repro.obs import runtime as obs
+from repro.sched.analysis import (
+    ScheduleMetrics,
+    ScheduleSummary,
+    schedule_metrics,
+    score,
+    summarize_schedule,
+)
 from repro.sched.list_scheduler import ListScheduler
 from repro.sched.policies import make_policy
 
@@ -241,21 +249,59 @@ class ExperimentResult:
         return len(self.records)
 
 
+#: Order-keyed schedule memo of one (scenario, size) sweep cell:
+#: ``(graph position, priority-order bytes)`` → schedule summary.
+ScheduleMemo = Dict[Tuple[object, bytes], ScheduleSummary]
+
+
+def schedule_memo(config: ExperimentConfig) -> Optional[ScheduleMemo]:
+    """A fresh schedule memo for one (scenario, size) cell of ``config``.
+
+    ``None`` for a single-method config: its trials never repeat a
+    (graph, size) pair, so a memo could only miss.
+    """
+    return {} if len(config.methods) > 1 else None
+
+
 def run_trial(
     graph: TaskGraph,
     assignment: DeadlineAssignment,
     system: System,
     policy_name: str = "EDF",
     respect_release_times: bool = False,
+    memo: Optional[ScheduleMemo] = None,
+    graph_key: object = None,
 ) -> ScheduleMetrics:
-    """Schedule one annotated graph and return its metrics."""
+    """Schedule one annotated graph and return its metrics.
+
+    With a ``memo`` (shared by the trials of one system), a schedule is
+    computed once per distinct priority order of the graph named
+    ``graph_key``: while release times are ignored, the list scheduler
+    reads the assignment only through that order, so every assignment
+    inducing it gets the same schedule, and only its lateness is scored
+    again. Release-time dispatch reads the windows themselves and
+    bypasses the memo.
+    """
     scheduler = ListScheduler(
         system,
         policy=make_policy(policy_name),
         respect_release_times=respect_release_times,
     )
-    schedule = scheduler.schedule(graph, assignment)
-    return schedule_metrics(schedule, assignment)
+    if memo is None or respect_release_times:
+        schedule = scheduler.schedule(graph, assignment)
+        return schedule_metrics(schedule, assignment)
+    order = scheduler.priority_order(graph, assignment)
+    key = (graph_key, array("i", order).tobytes())
+    summary = memo.get(key)
+    if summary is None:
+        obs.count("list.schedule_memo_misses")
+        summary = summarize_schedule(
+            scheduler.schedule(graph, assignment, order)
+        )
+        memo[key] = summary
+    else:
+        obs.count("list.schedule_memo_hits")
+    return score(summary, assignment)
 
 
 def distribute_for_trial(

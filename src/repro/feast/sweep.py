@@ -19,7 +19,7 @@ import itertools
 import os
 from dataclasses import fields, replace
 from multiprocessing import Pool
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import ExperimentError
 from repro.feast.config import ExperimentConfig

@@ -21,11 +21,10 @@ graph-workload reading (default) or a per-path reading. See DESIGN.md §5.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import GeneratorError
-from repro.graph import paths
 from repro.graph.taskgraph import TaskGraph
 from repro.types import Time
 

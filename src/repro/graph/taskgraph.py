@@ -13,7 +13,7 @@ they were handed — deadline distribution returns a separate
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.errors import (
     CycleError,

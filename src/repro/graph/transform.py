@@ -19,7 +19,7 @@ Preprocessing utilities that keep the rest of the pipeline unchanged:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional, Set
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Set
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core uses graph)
     from repro.core.annotations import DeadlineAssignment
@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core uses graph)
 from repro.errors import ValidationError
 from repro.graph import paths
 from repro.graph.taskgraph import TaskGraph
-from repro.types import NodeId, Time
+from repro.types import NodeId
 
 
 def merge_chains(graph: TaskGraph, separator: str = "+") -> TaskGraph:

@@ -23,7 +23,7 @@ import json
 import os
 import tempfile
 import time
-from typing import Any, Dict, IO, List, Optional, Tuple
+from typing import Any, Dict, IO, List, Optional
 
 from repro.errors import SerializationError
 from repro.obs.runtime import Telemetry

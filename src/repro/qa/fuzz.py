@@ -25,7 +25,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.commcost import make_estimator
 from repro.errors import ReproError
 from repro.graph.generator import SCENARIOS, RandomGraphConfig, generate_task_graph
 from repro.graph.serialization import graph_from_dict, graph_to_dict

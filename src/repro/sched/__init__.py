@@ -2,11 +2,14 @@
 
 from repro.sched.analysis import (
     ScheduleMetrics,
+    ScheduleSummary,
     end_to_end_lateness,
     lateness_by_subtask,
     max_lateness,
     message_lateness,
     schedule_metrics,
+    score,
+    summarize_schedule,
 )
 from repro.sched.bus import LinkTimeline, LinkTimelines
 from repro.sched.list_scheduler import ListScheduler
@@ -53,6 +56,9 @@ __all__ = [
     "message_lateness",
     "end_to_end_lateness",
     "schedule_metrics",
+    "ScheduleSummary",
+    "summarize_schedule",
+    "score",
     "LinkTimeline",
     "LinkTimelines",
     "ListScheduler",

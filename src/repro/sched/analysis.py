@@ -5,15 +5,26 @@ the largest ``completion − absolute deadline`` over all subtasks of a
 schedule (non-positive for valid schedules; more negative = better). It is
 "an indicator on how far from infeasibility the schedule is and how much
 additional background workload the schedule can handle" (Section 4.1).
+
+:func:`schedule_metrics` runs in two steps. :func:`summarize_schedule`
+computes everything that does not read the deadline assignment (per-node
+finishes, per-transfer arrivals, makespan, utilization, communication
+volume, end-to-end lateness) into a :class:`ScheduleSummary` of flat
+arrays; :func:`score` measures the lateness parts against one
+assignment. The trial loop's schedule memo keeps summaries and scores
+one against every assignment that induces the same schedule
+(DESIGN.md §13).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.core.annotations import DeadlineAssignment
 from repro.errors import ValidationError
+from repro.graph.indexed import GraphIndex
 from repro.sched.schedule import Schedule
 from repro.types import NodeId, Time
 
@@ -104,27 +115,91 @@ def end_to_end_lateness(schedule: Schedule) -> Dict[NodeId, Time]:
     return out
 
 
-def schedule_metrics(
-    schedule: Schedule, assignment: DeadlineAssignment
-) -> ScheduleMetrics:
-    """Compute the :class:`ScheduleMetrics` summary."""
-    lateness = lateness_by_subtask(schedule, assignment)
-    if not lateness:
+class ScheduleSummary(NamedTuple):
+    """The assignment-independent measures of one schedule.
+
+    Per-node finishes (dense node order) and per-transfer arrivals
+    (placement order, keyed by dense edge id) are flat arrays, so a memo
+    holding many summaries stays small.
+    """
+
+    #: The graph's compiled index (node ids and edge endpoints).
+    index: GraphIndex
+    finishes: array
+    message_edges: array
+    message_arrivals: array
+    makespan: Time
+    mean_utilization: float
+    total_communication_volume: Time
+    max_end_to_end_lateness: Time
+
+
+def summarize_schedule(schedule: Schedule) -> ScheduleSummary:
+    """Everything :func:`score` needs of ``schedule``."""
+    index = schedule.graph.index()
+    if not index.ids:
         raise ValidationError("metrics of an empty schedule")
-    values: List[Time] = list(lateness.values())
-    msg_lateness = message_lateness(schedule, assignment)
+    finish_time = schedule.finish_time
+    id_of = index.id_of
+    edge_id_of = index.edge_id_of
     utilization = schedule.processor_utilization()
     e2e = end_to_end_lateness(schedule)
+    return ScheduleSummary(
+        index=index,
+        finishes=array("d", [finish_time(n) for n in index.ids]),
+        message_edges=array(
+            "i",
+            [edge_id_of[(id_of[src], id_of[dst])]
+             for src, dst in schedule.messages],
+        ),
+        message_arrivals=array(
+            "d", [m.arrival for m in schedule.messages.values()]
+        ),
+        makespan=schedule.makespan(),
+        mean_utilization=sum(utilization.values()) / len(utilization),
+        total_communication_volume=schedule.total_communication_volume(),
+        max_end_to_end_lateness=max(e2e.values()) if e2e else 0.0,
+    )
+
+
+def score(
+    summary: ScheduleSummary, assignment: DeadlineAssignment
+) -> ScheduleMetrics:
+    """Measure a summarized schedule against one deadline assignment."""
+    index = summary.index
+    ids = index.ids
+    windows = assignment.windows
+    try:
+        values: List[Time] = [
+            finish - windows[node_id].absolute_deadline
+            for node_id, finish in zip(ids, summary.finishes)
+        ]
+    except KeyError:
+        for node_id in ids:
+            assignment.window(node_id)  # raises UnknownNodeError
+        raise
+    message_windows = assignment.message_windows
+    src, dst = index.edge_src, index.edge_dst
+    msg_lateness: List[Time] = []
+    for edge, arrival in zip(summary.message_edges, summary.message_arrivals):
+        window = message_windows.get((ids[src[edge]], ids[dst[edge]]))
+        if window is not None:
+            msg_lateness.append(arrival - window.absolute_deadline)
     return ScheduleMetrics(
         max_lateness=max(values),
         mean_lateness=sum(values) / len(values),
         n_late=sum(1 for v in values if v > 1e-9),
         n_subtasks=len(values),
-        makespan=schedule.makespan(),
-        mean_utilization=sum(utilization.values()) / len(utilization),
-        total_communication_volume=schedule.total_communication_volume(),
-        max_message_lateness=(
-            max(msg_lateness.values()) if msg_lateness else None
-        ),
-        max_end_to_end_lateness=max(e2e.values()) if e2e else 0.0,
+        makespan=summary.makespan,
+        mean_utilization=summary.mean_utilization,
+        total_communication_volume=summary.total_communication_volume,
+        max_message_lateness=max(msg_lateness) if msg_lateness else None,
+        max_end_to_end_lateness=summary.max_end_to_end_lateness,
     )
+
+
+def schedule_metrics(
+    schedule: Schedule, assignment: DeadlineAssignment
+) -> ScheduleMetrics:
+    """Compute the :class:`ScheduleMetrics` summary."""
+    return score(summarize_schedule(schedule), assignment)

@@ -10,7 +10,7 @@ is the new lateness bottleneck.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.annotations import DeadlineAssignment
 from repro.errors import ValidationError

@@ -26,15 +26,24 @@ time-triggered dispatch table. The default (``False``) is the greedy
 packing standard in the list-scheduling literature; the distribution then
 acts through the priority order and through the lateness measurement.
 
+Priority order
+    :meth:`ListScheduler.priority_order` computes every subtask's policy
+    key once, up front, and sorts the dense ids by ``(key, node id)``.
+    Every registered policy is a pure function of ``(node_id, graph,
+    assignment)``, so this equals computing each key when its subtask
+    becomes ready. The ready set is a heap of ranks in that order, which
+    reproduces the "smallest key, ties on the node id" rule exactly. A
+    NaN key raises :class:`~repro.errors.SchedulingError`: it would make
+    the order partial, and equal orders must imply equal heap decisions.
+    With ``respect_release_times=False`` the order is the only thing the
+    schedule reads of the assignment; :func:`repro.feast.runner.run_trial`
+    keys its schedule memo on it (DESIGN.md §13).
+
 Placement kernel
-    The ready set is a heap of ``((policy key, node id), dense id)``
-    entries. Each subtask's key is computed once, when it becomes ready —
-    every registered policy is a pure function of ``(node_id, graph,
-    assignment)`` — and the ``(key, node id)`` pair reproduces the
-    "smallest key, ties on the node id" rule exactly. Candidate start times
-    are probed in one pass over the incoming arcs, each arc updating every
-    candidate processor. Per arc the probes are memoized on the resolved
-    route (:meth:`repro.sched.bus.LinkTimelines.route`): the predecessor's
+    Candidate start times are probed in one pass over the incoming arcs,
+    each arc updating every candidate processor. Per arc the probes are
+    memoized on the resolved route
+    (:meth:`repro.sched.bus.LinkTimelines.route`): the predecessor's
     finish, the message size and the untouched link timelines fix the
     arrival, so on the shared bus the ``n_processors`` remote probes of an
     arc collapse to one gap search, while multi-hop topologies, whose
@@ -72,24 +81,52 @@ class ListScheduler:
         self.policy = policy if policy is not None else EarliestDeadlineFirst()
         self.respect_release_times = respect_release_times
 
-    def schedule(
+    def priority_order(
         self, graph: TaskGraph, assignment: DeadlineAssignment
-    ) -> Schedule:
-        """Produce a complete non-preemptive schedule.
+    ) -> List[int]:
+        """Dense node ids sorted by ``(policy key, node id)``.
 
-        ``assignment`` must cover every subtask of ``graph`` (it supplies
-        the EDF priorities and, optionally, release times).
+        The list scheduler always runs the ready subtask that comes first
+        in this order. ``assignment`` must cover every subtask of
+        ``graph``; a NaN key raises :class:`SchedulingError`.
         """
         validate_pins(graph, self.system.n_processors)
-        index = graph.index()
-        ids = index.ids
+        ids = graph.index().ids
+        windows = assignment.windows
         for node_id in ids:
-            if node_id not in assignment.windows:
+            if node_id not in windows:
                 raise SchedulingError(
                     f"deadline assignment misses subtask {node_id!r}; "
                     "run deadline distribution first"
                 )
+        policy_key = self.policy.key
+        keys = [(policy_key(node_id, graph, assignment), node_id)
+                for node_id in ids]
+        for key, node_id in keys:
+            for v in key:
+                if v != v:
+                    raise SchedulingError(
+                        f"policy {self.policy.name} gave subtask "
+                        f"{node_id!r} the NaN priority key {key!r}"
+                    )
+        return sorted(range(len(ids)), key=keys.__getitem__)
 
+    def schedule(
+        self,
+        graph: TaskGraph,
+        assignment: DeadlineAssignment,
+        order: Optional[Sequence[int]] = None,
+    ) -> Schedule:
+        """Produce a complete non-preemptive schedule.
+
+        ``assignment`` must cover every subtask of ``graph`` (it supplies
+        the EDF priorities and, optionally, release times). ``order`` is
+        :meth:`priority_order` of the same arguments, when the caller
+        already has it.
+        """
+        if order is None:
+            order = self.priority_order(graph, assignment)
+        index = graph.index()
         schedule = Schedule(graph, self.system)
         links = LinkTimelines(self.system.interconnect)
         proc_available: List[Time] = [0.0] * self.system.n_processors
@@ -101,17 +138,15 @@ class ListScheduler:
         pending_preds: List[int] = [
             index.in_degree_of(j) for j in range(index.n_nodes)
         ]
-        policy_key = self.policy.key
-        # Highest priority first; ties broken by node id (string order,
-        # not insertion order). Keys are computed once, on entry.
-        ready = [
-            ((policy_key(ids[j], graph, assignment), ids[j]), j)
-            for j, k in enumerate(pending_preds) if k == 0
-        ]
+        rank: List[int] = [0] * index.n_nodes
+        for r, j in enumerate(order):
+            rank[j] = r
+        # The ready subtask of smallest rank runs next.
+        ready = [rank[j] for j, k in enumerate(pending_preds) if k == 0]
         heapify(ready)
 
         while ready:
-            _, j = heappop(ready)
+            j = order[heappop(ready)]
             self._place(
                 j, graph, index, assignment, schedule, links,
                 proc_available, finish_of, proc_of,
@@ -120,10 +155,7 @@ class ListScheduler:
                 s = index.succ_ids[k]
                 pending_preds[s] -= 1
                 if pending_preds[s] == 0:
-                    heappush(
-                        ready,
-                        ((policy_key(ids[s], graph, assignment), ids[s]), s),
-                    )
+                    heappush(ready, rank[s])
 
         if len(schedule.tasks) != graph.n_subtasks:
             raise SchedulingError(

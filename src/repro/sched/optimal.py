@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro import budget as trial_budget
 from repro.obs import runtime as obs
@@ -56,7 +56,7 @@ from repro.sched.schedule import (
     ScheduledMessage,
     ScheduledTask,
 )
-from repro.types import NodeId, ProcessorId, Time
+from repro.types import ProcessorId, Time
 
 #: Numerical slack for float comparisons.
 EPS = 1e-9

@@ -5,18 +5,20 @@ deadline first, Section 5.3). Section 8 asks how AST behaves "under various
 task assignment and scheduling policies"; the additional policies here make
 that sweep a one-line configuration change.
 
-A policy maps a ready subtask to a sortable key; the scheduler picks the
-minimum key and breaks remaining ties on the node id, so every policy is
-deterministic. A key must be a pure function of ``(node_id, graph,
-assignment)``: the list scheduler evaluates it once per subtask, when the
-subtask becomes ready, and keeps it in a heap.
+A policy maps a ready subtask to a sortable key tuple; the scheduler picks
+the minimum key and breaks remaining ties on the node id, so every policy
+is deterministic. A key must be a pure function of ``(node_id, graph,
+assignment)`` and hold no NaN: the list scheduler evaluates every key
+once, up front (:meth:`~repro.sched.list_scheduler.ListScheduler.priority_order`),
+and the trial loops' schedule memo reuses a schedule for every
+assignment with the same order.
 """
 
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.core.annotations import DeadlineAssignment
 from repro.errors import ValidationError

@@ -9,7 +9,8 @@ renders a textual Gantt chart for inspection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import groupby
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SchedulingError, UnknownNodeError
@@ -120,13 +121,23 @@ class Schedule:
         return max(t.finish for t in self.tasks.values())
 
     def processor_utilization(self) -> Dict[ProcessorId, float]:
-        """Busy fraction of each processor over the makespan."""
+        """Busy fraction of each processor over the makespan.
+
+        One sort by ``(processor, start, node id)`` visits every
+        processor's subtasks in :meth:`tasks_on` order, so each busy time
+        is summed in the same order as per-processor queries would.
+        """
         horizon = self.makespan()
-        out: Dict[ProcessorId, float] = {}
-        for p in range(self.system.n_processors):
-            busy = sum(t.duration for t in self.tasks_on(p))
-            out[p] = busy / horizon if horizon > 0 else 0.0
-        return out
+        busy: Dict[ProcessorId, Time] = {}
+        ordered = sorted(
+            self.tasks.values(), key=lambda t: (t.processor, t.start, t.node_id)
+        )
+        for proc, group in groupby(ordered, key=lambda t: t.processor):
+            busy[proc] = sum(t.duration for t in group)
+        return {
+            p: busy.get(p, 0) / horizon if horizon > 0 else 0.0
+            for p in range(self.system.n_processors)
+        }
 
     def total_communication_volume(self) -> Time:
         """Sum of sizes of messages that actually crossed processors."""

@@ -33,7 +33,6 @@ background thread for tests and benchmarks.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import re
 import secrets
@@ -43,7 +42,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, AsyncIterator, Dict, Optional, Tuple
+from typing import Any, AsyncIterator, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.obs.promexport import openmetrics_text

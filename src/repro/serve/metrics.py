@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry
 
